@@ -27,8 +27,7 @@ per-metric percentage delta.  ``--fail-threshold PCT`` (implies
 ``--compare``) exits non-zero when any metric in ``GATED_METRICS``
 (kernel events, core events, and the full-sweep ``sim_cycles_per_sec``)
 regressed by more than PCT percent; CI uses this as the
-perf-regression gate, on both the batched default and the
-``REPRO_NO_FASTPATH=1`` leg.
+perf-regression gate.
 
 Usage::
 
@@ -40,11 +39,11 @@ Recording runs also time one dedicated paper-scale point per benchmark
 (32 threads, reduced instruction count, the ``free+fwd`` policy),
 recorded under ``paper_points`` with the spin fast-forward diagnostics;
 the canneal point doubles as the flat ``paper_point_seconds`` metric,
-which ``--fail-threshold`` gates lower-is-better (skipped on the
-``REPRO_NO_FASTPATH=1`` leg).  ``--scale paper`` runs the whole sweep
-at the 32-thread machine width — all three benchmarks, now that the
-spin fast-forward engine parks barrier-spinning cores (the preset used
-to be canneal-only; see ``PAPER_BENCHMARKS``).  ``--benchmarks A,B``
+which ``--fail-threshold`` gates lower-is-better.  ``--scale paper``
+runs the whole sweep at the 32-thread machine width — all three
+benchmarks, now that the spin fast-forward engine parks
+barrier-spinning cores (the preset used to be canneal-only; see
+``PAPER_BENCHMARKS``).  ``--benchmarks A,B``
 restricts the sweep (and the per-benchmark paper points) to a subset.
 """
 
@@ -78,9 +77,7 @@ GATED_METRICS = (
 #: Gated metrics where smaller is better (wall seconds rather than
 #: rates).  ``paper_point_seconds`` guards the spin fast-forward win:
 #: losing it would push the canneal paper point back toward the
-#: pre-parking baseline.  Skipped on the ``REPRO_NO_FASTPATH=1``
-#: compare leg — that leg disables the very mechanism the metric
-#: measures, so it can never meet a baseline recorded with it on.
+#: pre-parking baseline.
 GATED_SECONDS_METRICS = ("paper_point_seconds",)
 
 BENCHMARKS = ("AS", "watersp", "canneal")
@@ -373,12 +370,9 @@ def main() -> int:
     if args.compare:
         # The gate only tracks the canneal point (lower is better; see
         # GATED_SECONDS_METRICS); the full per-benchmark paper points
-        # ride along on recording runs only.  The REPRO_NO_FASTPATH leg
-        # skips it: with the fast-forward engine off the point can never
-        # meet a baseline recorded with it on.
-        if not os.environ.get("REPRO_NO_FASTPATH"):
-            seconds, _ = paper_point("canneal")
-            record["metrics"]["paper_point_seconds"] = round(seconds, 3)
+        # ride along on recording runs only.
+        seconds, _ = paper_point("canneal")
+        record["metrics"]["paper_point_seconds"] = round(seconds, 3)
     else:
         # Dedicated 32-core points (the paper's machine width), one per
         # benchmark, each with the fast-forward diagnostics that prove

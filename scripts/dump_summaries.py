@@ -1,55 +1,42 @@
 #!/usr/bin/env python3
-"""Dump canonical ResultSummary JSON for a fixed sweep of points.
+"""Dump the payload of every golden point, one file per point.
 
-Used to verify that performance work leaves simulation results
-bit-identical: run before and after a change and diff the output
-directory (``scripts/bench_harness.py --compare`` covers throughput;
-this covers correctness).
+The points are the golden set of ``tests/goldens.py``: the 15-point
+default-preset sweep (AS, watersp, canneal x 5 policies at 4 threads x
+1000 instructions), the zero-latency-L1, 8- and 32-thread points, the
+observer-attached runs and the litmus suite.  The tier-1 golden tests
+compare each payload's sha256 against ``tests/golden_digests.json``;
+this script writes the payloads themselves, so a digest mismatch can be
+diffed field by field against a dump taken before the change.
 
 Usage::
 
-    python scripts/dump_summaries.py OUTDIR [--threads N] [--instrs N]
+    python scripts/dump_summaries.py OUTDIR
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-
-BENCHMARKS = ("AS", "watersp", "canneal")
+sys.path.insert(0, str(ROOT))  # for the tests.goldens point list
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("outdir", type=pathlib.Path)
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--instrs", type=int, default=1000)
     args = parser.parse_args()
 
-    os.environ["REPRO_CACHE"] = "off"
+    from tests.goldens import POINTS
 
-    from repro.analysis.engine import prefetch
-    from repro.analysis.runner import ExperimentScale
-    from repro.core.policy import ALL_POLICIES
-
-    scale = ExperimentScale(
-        num_threads=args.threads, instructions_per_thread=args.instrs
-    )
-    points = [
-        (name, policy.name, scale, "icelake")
-        for name in BENCHMARKS
-        for policy in ALL_POLICIES
-    ]
-    resolved = prefetch(points, jobs=1)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for (bench, policy, _, _), summary in resolved.items():
-        path = args.outdir / f"{bench}__{policy.replace('+', '_')}.json"
-        path.write_text(summary.canonical_json() + "\n")
+    for point_id, payload in POINTS.items():
+        name = point_id.replace("/", "__").replace("+", "_")
+        path = args.outdir / f"{name}.json"
+        path.write_text(payload() + "\n")
         print(f"[wrote {path}]")
     return 0
 

@@ -231,6 +231,27 @@ def _summary_from_disk(disk: ResultCache, disk_key: str) -> ResultSummary | None
         return None  # corrupt/old entry: caller falls through and re-runs
 
 
+def simulate_point(
+    benchmark: str,
+    policy: AtomicPolicy,
+    scale: ExperimentScale,
+    core_preset: str = "icelake",
+) -> ResultSummary:
+    """Simulate one point afresh, bypassing both cache layers."""
+    config, digest = bench_config_and_digest(scale, core_preset)
+    workload = bench_workload(benchmark, scale)
+    result = run_workload(workload, policy=policy, config=config)
+    return result.summary(
+        meta={
+            "benchmark": benchmark,
+            "core_preset": core_preset,
+            "scale": dataclasses.asdict(scale),
+            "config_digest": digest,
+            "version": __version__,
+        }
+    )
+
+
 def run_benchmark(
     benchmark: str,
     policy: AtomicPolicy,
@@ -253,25 +274,11 @@ def run_benchmark(
     if cached is not None:
         return cached
 
-    config, digest = bench_config_and_digest(scale, core_preset)
+    _, digest = bench_config_and_digest(scale, core_preset)
     disk_key = disk_cache_key(benchmark, policy.name, scale, core_preset, digest)
     disk = ResultCache() if cache_enabled() else None
-
-    def simulate() -> ResultSummary:
-        workload = bench_workload(benchmark, scale)
-        result = run_workload(workload, policy=policy, config=config)
-        return result.summary(
-            meta={
-                "benchmark": benchmark,
-                "core_preset": core_preset,
-                "scale": dataclasses.asdict(scale),
-                "config_digest": digest,
-                "version": __version__,
-            }
-        )
-
     if disk is None:
-        summary = simulate()
+        summary = simulate_point(benchmark, policy, scale, core_preset)
     else:
         summary = _summary_from_disk(disk, disk_key)
         if summary is None:
@@ -280,7 +287,7 @@ def run_benchmark(
                     # Someone may have filled the entry while we waited.
                     summary = _summary_from_disk(disk, disk_key)
                 if summary is None:
-                    summary = simulate()
+                    summary = simulate_point(benchmark, policy, scale, core_preset)
                     disk.put(disk_key, summary.to_json_dict())
     _CACHE[memo_key] = summary
     return summary

@@ -25,8 +25,7 @@ during a do_not_unlock transfer window — and a source-store -> entries
 map for the SQid broadcast.  The indexes are updated inside
 :meth:`AtomicQueueEntry.lock` / :meth:`~AtomicQueueEntry.release` and
 the ``source_store`` property setter, so direct mutations (as the unit
-tests perform) keep them exact.  ``REPRO_NO_FASTPATH=1`` (read at
-construction) routes the searches through the original linear scans.
+tests perform) keep them exact.
 
 Entries store the line number alongside set/way purely as a simulator
 convenience (the hardware needs only set/way; the line is recoverable
@@ -35,7 +34,6 @@ from the tag array).
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterator, Optional
 
 #: Shared empty result for locked_l1_ways (read-only by contract).
@@ -127,7 +125,6 @@ class AtomicQueue:
         #: Called with a line number when its last lock is lifted; wired
         #: to PrivateHierarchy.notify_unlock so deferred requests replay.
         self._on_fully_unlocked = on_fully_unlocked
-        self._fast = os.environ.get("REPRO_NO_FASTPATH") != "1"
         # Lock-count indexes (see module docstring).
         self._line_locks: dict[int, int] = {}
         self._setway_locks: dict[tuple[int, int], int] = {}
@@ -228,38 +225,23 @@ class AtomicQueue:
     # search 1 & 2: locked lines / locked ways
 
     def is_line_locked(self, line: int) -> bool:
-        if self._fast:
-            return line in self._line_locks
-        return any(e.locked and e.line == line for e in self._entries)
+        return line in self._line_locks
 
     def is_locked_setway(self, set_index: int, way: int) -> bool:
-        if self._fast:
-            return (set_index, way) in self._setway_locks
-        return any(
-            e.locked and e.set_index == set_index and e.way == way
-            for e in self._entries
-        )
+        return (set_index, way) in self._setway_locks
 
     def locked_l1_ways(self, set_index: int) -> set[int]:
-        if self._fast:
-            ways = self._set_way_counts.get(set_index)
-            # Callers only probe membership; the shared constant keeps
-            # the no-locks common case allocation-free.
-            return set(ways) if ways else _EMPTY_WAYS
-        return {
-            e.way  # type: ignore[misc]
-            for e in self._entries
-            if e.locked and e.set_index == set_index
-        }
+        ways = self._set_way_counts.get(set_index)
+        # Callers only probe membership; the shared constant keeps the
+        # no-locks common case allocation-free.
+        return set(ways) if ways else _EMPTY_WAYS
 
     def locked_lines(self) -> set[int]:
         return {e.line for e in self._entries if e.locked}  # type: ignore[misc]
 
     @property
     def any_locked(self) -> bool:
-        if self._fast:
-            return self._locked_count > 0
-        return any(e.locked for e in self._entries)
+        return self._locked_count > 0
 
     def audit_indexes(self) -> list[str]:
         """Cross-check the lock-count/SQid indexes against the entries.
@@ -355,21 +337,14 @@ class AtomicQueue:
         the unlock-then-lock transfer that realizes do_not_unlock for a
         forwarding store_unlock (section 4.2).
         """
-        if self._fast:
-            bucket = self._by_source.get(store)
-            if not bucket:
-                return
-            # Copy: clearing source_store edits the bucket in place.
-            for entry in list(bucket):
-                entry.lock(line, set_index, way)
-                entry.source_store = None
-                self._stats.bump("lock_captures")
+        bucket = self._by_source.get(store)
+        if not bucket:
             return
-        for entry in self._entries:
-            if entry.source_store is store:
-                entry.lock(line, set_index, way)
-                entry.source_store = None
-                self._stats.bump("lock_captures")
+        # Copy: clearing source_store edits the bucket in place.
+        for entry in list(bucket):
+            entry.lock(line, set_index, way)
+            entry.source_store = None
+            self._stats.bump("lock_captures")
 
     # ------------------------------------------------------------------
     # search 4: flush

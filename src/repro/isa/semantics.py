@@ -80,9 +80,8 @@ def evaluate_branch(instruction: Branch, src1: int, src2: int) -> bool:
 # position (``DecodedOp.alu_fn`` / ``branch_fn``) so the execute stage
 # pays a single call instead of walking the enum dispatch chains above.
 # Each function is value-identical to the corresponding ``evaluate_*``
-# branch (the interpreters keep using the chains; behaviour has exactly
-# one definition per op either way, checked by the A/B equivalence
-# suite).
+# branch (the interpreters keep using the chains; the pipeline-vs-
+# reference-interpreter property test checks the two agree).
 
 _MASK64 = (1 << 64) - 1
 _WRAP64 = 1 << 64

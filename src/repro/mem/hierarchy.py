@@ -22,14 +22,12 @@ queue confirms nothing else is pending at the current cycle, which makes
 the shortcut exactly identical to posting a delay-0 callback (the
 callback is deliberately NOT invoked inline: the requester may sit
 inside a fetch/dispatch/wakeup loop whose remaining iterations must run
-first).  ``REPRO_NO_FASTPATH=1`` disables every shortcut so equivalence
-can be asserted A/B in tests.  Internal fill completions with no
-continuation skip the queue entirely.
+first).  Internal fill completions with no continuation skip the queue
+entirely.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.common.config import MemoryConfig
@@ -122,12 +120,9 @@ class PrivateHierarchy:
         self._l2 = CacheArray(memory_config.l2)
         self._l1_hit_latency = memory_config.l1d.hit_latency
         self._l2_hit_latency = memory_config.l2.hit_latency
-        #: REPRO_NO_FASTPATH=1 is the A/B escape hatch disabling every
-        #: hot-path shortcut (used by the equivalence tests).
-        self._shortcuts = os.environ.get("REPRO_NO_FASTPATH") != "1"
-        #: Zero-entry hit completion is additionally only legal at zero
-        #: configured L1 hit latency (no simulated time may pass).
-        self._fastpath = self._shortcuts and self._l1_hit_latency == 0
+        #: Zero-entry hit completion is only legal at zero configured L1
+        #: hit latency (no simulated time may pass).
+        self._fastpath = self._l1_hit_latency == 0
         self._state: Dict[int, MESIState] = {}
         #: Bumped on every MESI-state change (grant, downgrade, invalidate,
         #: eviction).  Equal values at two instants prove ``_state`` is
@@ -253,11 +248,9 @@ class PrivateHierarchy:
 
             self._queue.post(FILL_RETRY_CYCLES, retry)
             return
-        if callback is _noop and latency == 0 and self._shortcuts:
-            # Nothing to run and no time to pass: skip the queue.  (A
-            # popped no-op event has no observable effect, so this is
-            # unconditionally equivalent regardless of hit latency;
-            # gated on REPRO_NO_FASTPATH so the tests A/B everything.)
+        if callback is _noop and latency == 0:
+            # Nothing to run and no time to pass: skip the queue (a
+            # popped no-op event has no observable effect).
             return
         if arg is None:
             self._queue.post(latency, callback)
@@ -300,7 +293,7 @@ class PrivateHierarchy:
         self._install(line)
         waiters = mshr.waiters
         fill_latency = self._l1_hit_latency
-        if granted.writable and self._shortcuts:
+        if granted.writable:
             # Every waiter is satisfied and the seed's per-waiter posts
             # were consecutive (nothing could be posted between them), so
             # one batch event running them back-to-back at the first
@@ -319,7 +312,7 @@ class PrivateHierarchy:
             return
         unsatisfied: Optional[List[tuple]] = None
         for waiter in waiters:
-            if waiter[0] and not granted.writable:
+            if waiter[0]:
                 if unsatisfied is None:
                     unsatisfied = []
                 unsatisfied.append(waiter)

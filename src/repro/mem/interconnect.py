@@ -13,8 +13,7 @@ model (injection serialization + fixed latency) is unchanged — but it
 shards the delivery bookkeeping so each bank keeps one *open batch* per
 target cycle: messages from the same bank landing on the same cycle ride
 in one event-queue entry and drain as one list walk instead of one event
-each.  The piggyback is exact (see :meth:`Interconnect.send`) and is
-disabled along with every other shortcut by ``REPRO_NO_FASTPATH=1``.
+each.  The piggyback is exact (see :meth:`Interconnect.send`).
 
 Hot-path design: :meth:`Interconnect.send_msg` allocates the
 :class:`CoherenceMessage` from a free-list pool and recycles it right
@@ -87,7 +86,6 @@ class Interconnect:
         #: condition that allows appending to an open batch.
         self._open: list[Optional[tuple]] = [None] * banks
         self._batch_pool: list[list] = []
-        self._batching = os.environ.get("REPRO_NO_FASTPATH") != "1"
         #: REPRO_POOL_DEBUG=1 turns on retain/release leak tracking.
         self.debug_leaks = os.environ.get("REPRO_POOL_DEBUG") == "1"
         self._retained_live: dict[int, CoherenceMessage] = {}
@@ -181,7 +179,7 @@ class Interconnect:
                 # parked core is always live again before the message
                 # lands.
                 hook(message, now, now + delay)
-        if not self._batching or delay >= RING_CYCLES:
+        if delay >= RING_CYCLES:
             queue.post1(delay, self._deliver1, message)
             return
         cycle = now + delay

@@ -8,8 +8,8 @@ simulator's shared hot paths keep zero observability branches — a
 system without an attached observer executes exactly the pre-existing
 code (the basis of the byte-identity and perf-gate acceptance tests).
 
-Wrap points (all resolved via instance lookup at call time, so they
-fire identically under ``REPRO_NO_FASTPATH=1``):
+Wrap points (all resolved via instance lookup at call time, so the
+batched pipeline windows honour them):
 
 - core: ``_dispatch`` (honoured by the inlined fetch loop),
   ``_perform_load``, ``_perform_load_lock``, ``_finish_forward``,
@@ -236,9 +236,9 @@ class Observability:
 
         Note that pipeline tracing (``cfg.pipeline``) makes these
         streams empty by construction: wrapping ``_do_commit`` routes
-        commit through the object-at-a-time leg, which never engages
-        the fast-forward engine — the detector is part of the batched
-        fast path it accelerates.
+        commit through ``_commit_tick_hooked``, which never engages the
+        fast-forward engine — the detector is part of the batched
+        commit window it accelerates.
         """
         bus, queue, cid = self.bus, core.queue, core.core_id
 
@@ -437,7 +437,3 @@ class Observability:
     def write_chrome_trace(self, path) -> "pathlib.Path":
         """Write the recorded stream as Chrome ``trace_event`` JSON."""
         return write_chrome_trace(path, self.chrome_payload())
-
-    def event_keys(self) -> list[tuple]:
-        """Stream identity (for the fastpath-equivalence tests)."""
-        return self.bus.stream_keys()

@@ -12,7 +12,7 @@ emits into.  It maintains
 plus an optional list of extra sinks (callables) for tests and tools
 that want live fan-out.  Emission order is the deterministic simulator
 event order, so two runs of the same configuration produce identical
-streams — the property the fastpath A/B tests assert.
+streams — the property the golden-digest tests pin.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class EventBus:
             return sum(self.counts.values())
         prefix = cat + "/"
         return sum(v for k, v in self.counts.items() if k.startswith(prefix))
-
-    def stream_keys(self) -> list[tuple]:
-        """Identity keys of the retained stream (for equivalence tests)."""
-        return [e.key() for e in self.ring]
 
     def __len__(self) -> int:
         return len(self.ring)

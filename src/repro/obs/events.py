@@ -65,7 +65,7 @@ class ObsEvent:
         self.info = info
 
     def key(self) -> tuple:
-        """Hashable identity used by the stream-equivalence tests."""
+        """Hashable identity of the event, insensitive to ``info`` order."""
         info = tuple(sorted(self.info.items())) if self.info else ()
         return (self.cycle, self.cat, self.kind, self.src, self.seq, self.dur, info)
 

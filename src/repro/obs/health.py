@@ -90,8 +90,8 @@ def build_health(
         "lock_hold_cycles": _distribution(list(lock_holds)),
         "forward_chain_depth": _distribution(list(chain_depths)),
         # How the run was simulated, not what it computed: all zeros
-        # whenever the fast-forward engine was off (REPRO_NO_FASTPATH,
-        # REPRO_NO_SPINFF, or pipeline tracing attached), and skipping
+        # whenever the fast-forward engine was off (REPRO_NO_SPINFF or
+        # pipeline tracing attached), and skipping
         # never changes any other section of this report.
         "fastforward": {
             "parks": sum(core.ff_parks for core in system.cores),

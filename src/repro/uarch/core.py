@@ -254,16 +254,10 @@ class OutOfOrderCore:
         self._commit_scheduled = False
         self._last_commit_cycle = 0
 
-        # Indexed-ordering fast paths (A/B escape hatch, read once here
-        # like mem.hierarchy does): the bookkeeping below is maintained
-        # either way; only the O(1) queries consult it.  The batched
-        # fetch/commit twins below additionally swap in whole-window
-        # loop bodies; REPRO_NO_FASTPATH=1 keeps the object-at-a-time
-        # originals.
-        self._fast = os.environ.get("REPRO_NO_FASTPATH") != "1"
-        self._fetch_impl = self._fetch_tick_fast if self._fast else self._fetch_tick
-        # pre-bound: posted every commit
-        self._commit_cb = self._commit_tick_fast if self._fast else self._commit_tick
+        # Pre-bound stage entry points: posted every fetch / commit tick
+        # (and the seam stage-timing tools wrap).
+        self._fetch_impl = self._fetch_tick
+        self._commit_cb = self._commit_tick
 
         # Loop-invariant hot-path prebinds (the batched windows and the
         # per-event callbacks below read these instead of chasing
@@ -293,7 +287,7 @@ class OutOfOrderCore:
         self._loads_waiting_agen: Deque[DynInstr] = deque()
         self._loads_waiting_fence: Deque[DynInstr] = deque()
         #: In-flight fences, program-ordered; the front is the oldest,
-        #: which is all _blocked_by_fence needs.  Commit pops the front,
+        #: which is all the load fence gate needs.  Commit pops the front,
         #: squash pops the suffix.
         self._fences: Deque[DynInstr] = deque()
         #: Atomics currently in the SQ, program-ordered.  An atomic
@@ -319,12 +313,10 @@ class OutOfOrderCore:
         #: without the hot path carrying any extra branches.
         self.last_squash_cause: str = ""
 
-        # Spin fast-forward (see repro.uarch.spinff).  The engine only
-        # exists on the fast leg (REPRO_NO_FASTPATH=1 runs without it,
-        # which the A/B byte-identity tests rely on); REPRO_NO_SPINFF=1
-        # additionally disables just this engine for isolation.  The
-        # streak counter is the only cost the commit hot path pays when
-        # the core is not spinning.
+        # Spin fast-forward (see repro.uarch.spinff).  REPRO_NO_SPINFF=1
+        # disables the engine — the reference its byte-identity tests
+        # compare against.  The streak counter is the only cost the
+        # commit hot path pays when the core is not spinning.
         self.parked = False
         self.spin_cycles_skipped = 0
         self.ff_parks = 0
@@ -334,7 +326,7 @@ class OutOfOrderCore:
         self.on_unpark: Optional[Callable] = None
         self._spin_streak = 0
         self._spinff: Optional[SpinFastForward] = None
-        if self._fast and os.environ.get("REPRO_NO_SPINFF") != "1":
+        if os.environ.get("REPRO_NO_SPINFF") != "1":
             self._spinff = SpinFastForward(self)
 
     # ==================================================================
@@ -375,78 +367,15 @@ class OutOfOrderCore:
             self._schedule_fetch(1)
 
     def _fetch_tick(self, epoch: int) -> None:
-        self._fetch_scheduled = False
-        if epoch != self._fetch_epoch or self.halted or self.finished:
-            return
-        # The whole tick runs synchronously (dispatch handlers never
-        # advance the clock or squash), so pc / next_seq / now live in
-        # locals and are written back on every exit path.
-        decoded = self._decoded
-        last = len(decoded) - 1
-        rob_entries = self._rob_entries
-        rob_capacity = self._rob_capacity
-        now = self.queue.now
-        seq = self.next_seq
-        pc = self.pc
-        c_dispatched = self._c_dispatched
-        table = _DISPATCH_TABLE
-        # PipelineTracer (and tests) may patch _dispatch on the
-        # *instance*; honour the hook instead of the inline fast path.
-        dispatch_hook = self.__dict__.get("_dispatch")
-        fetched = 0
-        while fetched < self.cfg.fetch_width:
-            # Mirror Program.fetch: wrong-path fetch past either end of
-            # the program resolves to the trailing Halt.
-            dec = decoded[pc] if 0 <= pc < last else decoded[last]
-            kidx = dec.kidx
-            if len(rob_entries) >= rob_capacity:
-                self._c_stall_rob()
-                self.pc = pc
-                self.next_seq = seq
-                self._dispatch_blocked = True
-                return
-            if KIDX_ATOMIC <= kidx <= KIDX_STORE and not self._lsq_room(kidx):
-                self.pc = pc
-                self.next_seq = seq
-                self._dispatch_blocked = True
-                return
-            instr = DynInstr(seq, dec.static, pc, dec.klass, dec)
-            seq += 1
-            if kidx == KIDX_BRANCH:
-                taken = self.predictor.predict(pc, dec.static)
-                instr.pred_taken = taken
-                if taken:
-                    instr.next_pc = dec.target_index
-            # Inlined _dispatch (hottest pipeline path): direct ROB
-            # append is safe — room was just checked and fetch hands out
-            # strictly increasing sequence numbers.
-            if dispatch_hook is not None:
-                dispatch_hook(instr)
-            else:
-                instr.dispatch_cycle = now
-                rob_entries.append(instr)
-                c_dispatched()
-                table[kidx](self, instr)
-            pc = instr.next_pc
-            fetched += 1
-            if kidx == KIDX_HALT:
-                self.halted = True
-                self.pc = pc
-                self.next_seq = seq
-                return
-        self.pc = pc
-        self.next_seq = seq
-        self._schedule_fetch(1)
+        """Fetch and dispatch up to ``fetch_width`` instructions.
 
-    def _fetch_tick_fast(self, epoch: int) -> None:
-        """Batched fast-path twin of :meth:`_fetch_tick`.
-
-        Same per-instruction decisions in the same order — the window
-        loop just hoists every loop-invariant lookup (widths, decode
-        table bounds), tracks ROB room as a local countdown instead of
-        re-measuring the deque, and adds the dispatched counter once for
-        the whole window.  ``REPRO_NO_FASTPATH=1`` keeps the
-        object-at-a-time original above.
+        One batched window: every loop-invariant lookup (widths, decode
+        table bounds) is hoisted, ROB room is a local countdown instead
+        of a re-measured deque, the hottest classes (ALU, branch, load)
+        dispatch inline, and the dispatched / issued counters are added
+        once for the whole window.  An instance-level ``_dispatch`` hook
+        (PipelineTracer, observability) is called for every instruction
+        instead of the inline dispatch.
         """
         self._fetch_scheduled = False
         if epoch != self._fetch_epoch or self.halted or self.finished:
@@ -683,34 +612,9 @@ class OutOfOrderCore:
             return False
         return True
 
-    def _has_dispatch_room(self, klass: InstrClass) -> bool:
-        if len(self._rob_entries) >= self._rob_capacity:
-            self._c_stall_rob()
-            return False
-        if klass is InstrClass.ATOMIC:
-            if self.aq.full:
-                self._c_stall_aq()
-                self._c_aq_alloc_stalls()
-                return False
-            if self.lq.full or self.sq.full:
-                self._c_stall_lsq()
-                return False
-            return True
-        if klass is InstrClass.LOAD:
-            if self.lq.full:
-                self._c_stall_lq()
-                return False
-            return True
-        if klass is InstrClass.STORE:
-            if self.sq.full:
-                self._c_stall_sq()
-                return False
-            return True
-        return True
-
     def _dispatch(self, instr: DynInstr) -> None:
         instr.dispatch_cycle = self.queue.now
-        # Direct ROB append: _has_dispatch_room already guaranteed space
+        # Direct ROB append: the fetch window already guaranteed space
         # and fetch hands out strictly increasing sequence numbers, so
         # ReorderBuffer.dispatch's guards cannot fire here.
         self._rob_entries.append(instr)
@@ -1146,16 +1050,13 @@ class OutOfOrderCore:
             return
 
         # Gate 1: explicit fences (mfence) block younger loads.
-        # _blocked_by_fence's fast-mode branch, inlined: fences are rare
-        # but the gate runs for every load issue attempt.
-        if self._fast:
-            fences = self._fences
-            if fences and fences[0].seq < instr.seq:
-                if not (instr.flags & F_WAIT_FENCE):
-                    instr.flags |= F_WAIT_FENCE
-                    self._loads_waiting_fence.append(instr)
-                return
-        elif self._blocked_by_fence(instr):
+        # _fences holds only live (uncommitted, unsquashed) fences in
+        # program order, so the front is the oldest: one compare.
+        fences = self._fences
+        if fences and fences[0].seq < instr.seq:
+            if not (instr.flags & F_WAIT_FENCE):
+                instr.flags |= F_WAIT_FENCE
+                self._loads_waiting_fence.append(instr)
             return
         # Gate 2: fenced designs block loads younger than an unperformed
         # atomic (Mem_Fence2).
@@ -1184,23 +1085,16 @@ class OutOfOrderCore:
                     self._loads_waiting_agen.append(instr)
                 return
 
-        # decide_load_source's no-matching-store arm, inlined for the
-        # fast leg (StoreQueue.youngest_matching_store over the word
-        # bucket); any in-flight same-word store falls through to the
-        # full decision function, which recomputes the same scan.
-        if self._fast:
-            best = None
-            for store in self.sq._by_word.get(instr.word, ()):
-                if store.seq < instr.seq and (
-                    best is None or store.seq > best.seq
-                ):
-                    best = store
-            if best is None:
-                decision = _CACHE_DECISION
-            else:
-                decision = decide_load_source(
-                    instr, self.sq, self.policy, self.max_forward_chain
-                )
+        # decide_load_source's no-matching-store arm, inlined
+        # (StoreQueue.youngest_matching_store over the word bucket); any
+        # in-flight same-word store falls through to the full decision
+        # function, which recomputes the same scan.
+        best = None
+        for store in self.sq._by_word.get(instr.word, ()):
+            if store.seq < instr.seq and (best is None or store.seq > best.seq):
+                best = store
+        if best is None:
+            decision = _CACHE_DECISION
         else:
             decision = decide_load_source(
                 instr, self.sq, self.policy, self.max_forward_chain
@@ -1254,49 +1148,16 @@ class OutOfOrderCore:
             waiters = store.perform_waiters = []
         waiters.append(callback)
 
-    def _blocked_by_fence(self, instr: DynInstr) -> bool:
-        if self._fast:
-            # _fences holds only live (uncommitted, unsquashed) fences
-            # in program order, so the front is the oldest: one compare
-            # replaces the scan.
-            fences = self._fences
-            if not (fences and fences[0].seq < instr.seq):
-                return False
-        else:
-            for fence in self._fences:
-                if fence.squashed or fence.committed:
-                    continue
-                if fence.seq < instr.seq:
-                    break
-            else:
-                return False
-        if not (instr.flags & F_WAIT_FENCE):
-            instr.flags |= F_WAIT_FENCE
-            self._loads_waiting_fence.append(instr)
-        return True
-
     def _blocked_by_fenced_atomic(self, instr: DynInstr) -> bool:
         """Mem_Fence2: younger loads wait for the atomic to fully perform."""
-        if self._fast:
-            # Every atomic still in the SQ is unperformed (it leaves the
-            # SQ the moment its store_unlock performs), so the front of
-            # the program-ordered _atomics_sq deque is the oldest
-            # unperformed atomic — the one the scan would find.
-            atomics = self._atomics_sq
-            if atomics:
-                store = atomics[0]
-                if store.seq < instr.seq:
-                    self._subscribe_perform(
-                        store, lambda: self._try_start_load(instr)
-                    )
-                    return True
-            return False
-        for store in self.sq:
-            if store.seq >= instr.seq:
-                break
-            if store is instr:
-                continue
-            if store.is_atomic and not store.store_performed:
+        # Every atomic still in the SQ is unperformed (it leaves the SQ
+        # the moment its store_unlock performs), so the front of the
+        # program-ordered _atomics_sq deque is the oldest unperformed
+        # atomic.
+        atomics = self._atomics_sq
+        if atomics:
+            store = atomics[0]
+            if store.seq < instr.seq:
                 self._subscribe_perform(store, lambda: self._try_start_load(instr))
                 return True
         return False
@@ -1649,10 +1510,10 @@ class OutOfOrderCore:
             # Versioned ordering: a plain load speculates freely but
             # retires only once every older release has performed (the
             # front of _atomics_sq is the oldest unpublished release).
-            # Only _commit_tick reaches here with a commit_simple head —
-            # every other probe site short-circuits on commit_simple —
-            # so this is the exact slow-leg twin of the inlined check in
-            # _commit_tick_fast.  Re-probe is guaranteed: the blocking
+            # Only _commit_tick_hooked reaches here with a commit_simple
+            # head — every other probe site short-circuits on
+            # commit_simple — so this mirrors the inlined check in
+            # _commit_tick.  Re-probe is guaranteed: the blocking
             # atomic already committed, its SB entry always drains, and
             # _perform_store -> _on_sb_progress re-arms commit.
             if self._versioned and instr.dec.kidx == KIDX_LOAD:
@@ -1672,7 +1533,14 @@ class OutOfOrderCore:
         # FENCE and HALT both wait for their stores to be visible.
         return self.sq.sb_empty_below(instr.seq)
 
-    def _commit_tick(self) -> None:
+    def _commit_tick_hooked(self) -> None:
+        """Commit one instruction at a time through ``self._do_commit``.
+
+        Only taken when an observer (PipelineTracer, observability) has
+        wrapped ``_do_commit`` on the instance, which the inlined window
+        of :meth:`_commit_tick` would bypass.  Same decisions in the
+        same order; the spin fast-forward streak is not advanced.
+        """
         self._commit_scheduled = False
         entries = self._rob_entries
         committed = 0
@@ -1692,21 +1560,18 @@ class OutOfOrderCore:
             self._maybe_resume_fetch()
         self._maybe_schedule_commit()
 
-    def _commit_tick_fast(self) -> None:
-        """Batched fast-path twin of :meth:`_commit_tick`.
+    def _commit_tick(self) -> None:
+        """Commit up to ``commit_width`` instructions from the ROB head.
 
         Inlines :meth:`_commit_ready` and :meth:`_do_commit` into one
         window loop with the loop-invariant lookups hoisted (the cycle
         number, the store buffer, the rename arrays, the trace sink) and
-        the total committed counter added once per window.  Decision
-        order and side effects are identical to the original, which
-        ``REPRO_NO_FASTPATH=1`` keeps running.
+        the total committed counter added once per window.
         """
         # PipelineTracer / obs wrap _do_commit on the *instance*; the
-        # inlined window would bypass the wrapper, so honour the hook by
-        # running the object-at-a-time original (same decisions).
+        # inlined window would bypass the wrapper, so honour the hook.
         if "_do_commit" in self.__dict__:
-            self._commit_tick()
+            self._commit_tick_hooked()
             return
         self._commit_scheduled = False
         entries = self._rob_entries

@@ -54,10 +54,11 @@ This module removes that time *exactly*:
    numbers, LRU stamp magnitudes) intentionally do not shift; relative
    order — the only thing the simulation ever consults — is preserved.
 
-The observable result is byte-identical to the un-fast-forwarded run;
-the ``REPRO_NO_FASTPATH=1`` A/B tests assert exactly that, and the
-differential fuzzer runs with the feature enabled.  ``REPRO_NO_SPINFF=1``
-disables only this engine (keeping the other fast paths) for isolation.
+The observable result is byte-identical to the un-fast-forwarded run:
+``REPRO_NO_SPINFF=1`` disables this engine, and the identity tests
+assert that both runs produce the same summary and event stream (the
+32-thread golden digest pins the result absolutely).  The differential
+fuzzer runs with the feature enabled.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class SpinFastForward:
         self._on_send_cb = self._on_send
 
     # ------------------------------------------------------------------
-    # detection (called from the tail of _commit_tick_fast)
+    # detection (called from the tail of _commit_tick)
 
     @property
     def observing(self) -> bool:

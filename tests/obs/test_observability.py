@@ -4,9 +4,8 @@ The load-bearing properties:
 
 - attaching an observer never changes simulation outcomes (cycles,
   stats, and the canonical summary modulo ``meta["health"]``);
-- the instrumentation fires identically with the hierarchy fast paths
-  disabled (``REPRO_NO_FASTPATH=1``) — identical event streams and
-  byte-identical summaries on squash-heavy contended runs;
+- the instrumentation's event streams and summaries on squash-heavy
+  contended runs match their golden digests (:mod:`tests.goldens`);
 - online invariant audits run clean on healthy systems and never keep
   the event queue alive (deadlock detection stays intact);
 - the ring bound caps memory while the per-stream counters stay exact.
@@ -22,6 +21,7 @@ from repro.obs import ObsConfig, Observability
 from repro.obs.config import ConfigError
 from repro.obs.health import HEALTH_SCHEMA, pow2_histogram
 from repro.system.simulator import System, run_workload
+from tests import goldens
 from tests.conftest import counter_workload, small_system_config
 from tests.integration.test_deadlocks import rmw_rmw_workload
 
@@ -70,49 +70,26 @@ class TestNonPerturbation:
 
 
 class TestFastpathEquivalence:
-    def canonical_and_keys(self, monkeypatch, fastpath, workload, config, policy):
-        if fastpath:
-            monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        obs, result = observed_run(workload, config, policy=policy)
-        return result.summary().canonical_json(), obs.event_keys(), obs
+    """Observed runs pinned to golden digests: event stream + summary."""
 
-    def test_contended_counter_identical(self, monkeypatch):
-        runs = [
-            self.canonical_and_keys(
-                monkeypatch,
-                fast,
-                counter_workload(3, 20),
-                contended_config(),
-                FREE_ATOMICS_FWD,
-            )
-            for fast in (True, False)
-        ]
-        assert runs[0][2].health["squashes"]["total"] > 0
-        assert runs[0][1] == runs[1][1]
-        assert runs[0][0] == runs[1][0]
+    @staticmethod
+    def golden_health(point_id):
+        payload = json.loads(goldens.verify(point_id))
+        return json.loads(payload["summary"])["meta"]["health"]
 
-    def test_watchdog_squash_heavy_run_identical(self, monkeypatch):
+    def test_contended_counter_identical(self):
+        health = self.golden_health("observed/counter-3x20")
+        assert health["squashes"]["total"] > 0
+
+    def test_watchdog_squash_heavy_run_identical(self):
         # The RMW-RMW cross-lock pattern forces watchdog fires, so the
-        # A/B equivalence covers the watchdog arm/fire/squash stream and
-        # the squash-cause attribution, not just the happy path.
-        workload, _ = rmw_rmw_workload(iterations=10)
-        config = small_system_config(2, watchdog_cycles=400)
-        runs = [
-            self.canonical_and_keys(
-                monkeypatch, fast, workload, config, FREE_ATOMICS
-            )
-            for fast in (True, False)
-        ]
-        health = runs[0][2].health
+        # golden covers the watchdog arm/fire/squash stream and the
+        # squash-cause attribution, not just the happy path.
+        health = self.golden_health("observed/rmw-rmw-watchdog")
         assert health["watchdog"]["timeouts"] > 0
         assert health["squashes"]["causes"]["watchdog"] > 0
-        assert runs[0][1] == runs[1][1]
-        assert runs[0][0] == runs[1][0]
 
-    def test_event_stream_covers_all_categories(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+    def test_event_stream_covers_all_categories(self):
         obs, _ = observed_run(counter_workload(3, 20), contended_config())
         cats = {event.cat for event in obs.bus}
         assert {"pipeline", "aq", "watchdog", "forward", "coherence"} <= cats

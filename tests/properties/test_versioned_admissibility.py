@@ -15,8 +15,9 @@ Two generators exercise it here:
   through the full differential pipeline (:func:`run_case`);
 - random two-thread ISA programs (same strategy as the all-policy
   admissibility property), checked directly against the abstract
-  machine — on both legs of the fast path, since the versioned commit
-  gate is duplicated in ``_commit_tick_fast``.
+  machine — with spin fast-forward on and off (``REPRO_NO_SPINFF=1``),
+  since a parked spin re-synthesizes the commits the versioned gate
+  would have ordered.
 """
 
 from __future__ import annotations
@@ -57,33 +58,34 @@ def test_fuzz_cases_commit_only_tso_outcomes(seed, knob_salt):
 
 
 @contextmanager
-def _fastpath_leg(no_fastpath: bool):
+def _spinff_leg(no_spinff: bool):
     """Env-flip context (monkeypatch is function-scoped; @given is not)."""
-    saved = os.environ.get("REPRO_NO_FASTPATH")
+    saved = os.environ.get("REPRO_NO_SPINFF")
     try:
-        if no_fastpath:
-            os.environ["REPRO_NO_FASTPATH"] = "1"
+        if no_spinff:
+            os.environ["REPRO_NO_SPINFF"] = "1"
         else:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
+            os.environ.pop("REPRO_NO_SPINFF", None)
         yield
     finally:
         if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
+            os.environ.pop("REPRO_NO_SPINFF", None)
         else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
+            os.environ["REPRO_NO_SPINFF"] = saved
 
 
-@pytest.mark.parametrize("no_fastpath", [False, True], ids=["fast", "slow"])
+#: "slow" is the run without spin fast-forward (REPRO_NO_SPINFF=1).
+@pytest.mark.parametrize("no_spinff", [False, True], ids=["fast", "slow"])
 @given(spec0=thread_specs(), spec1=thread_specs(), skew=st.integers(0, 5))
 @settings(max_examples=10, deadline=None)
-def test_isa_traces_admissible_on_both_legs(no_fastpath, spec0, spec1, skew):
+def test_isa_traces_admissible_on_both_legs(no_spinff, spec0, spec1, skew):
     b1_prefix = [("alu", LOCATIONS[0])] * skew
     programs = [
         build_program(0, spec0),
         build_program(1, b1_prefix + spec1),
     ]
     workload = Workload("versioned_prop", programs)
-    with _fastpath_leg(no_fastpath):
+    with _spinff_leg(no_spinff):
         result = run_workload(
             workload,
             policy=VERSIONED,
@@ -95,7 +97,7 @@ def test_isa_traces_admissible_on_both_legs(no_fastpath, spec0, spec1, skew):
     outcome = TsoChecker().admissible(result.traces, final_memory=final)
     assert outcome.admissible, (
         "non-TSO execution under versioned "
-        f"({'slow' if no_fastpath else 'fast'} leg):\n"
+        f"({'slow' if no_spinff else 'fast'} leg):\n"
         f"  core0: {result.traces[0]}\n"
         f"  core1: {result.traces[1]}\n"
         f"  final: {final}"

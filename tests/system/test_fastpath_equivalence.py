@@ -1,224 +1,131 @@
-"""A/B equivalence of the hierarchy hot-path shortcuts.
+"""Golden-digest tests: the simulator's one implementation, pinned.
 
-The zero-event L1-hit completion and the no-op fill elision
-(``mem/hierarchy.py``) are pure optimizations: with ``REPRO_NO_FASTPATH=1``
-every shortcut is disabled and all completions go through posted events.
-These tests run randomized workloads both ways and require the
-``ResultSummary`` canonical JSON to be byte-identical — any divergence in
-event ordering, stats, or timing fails loudly.
-
-The sync fast path only arms when the configured L1 hit latency is zero,
-so the config here uses ``tag_latency=0, data_latency=0`` for the L1D
-(the default presets keep hit latency 4 and exercise only the no-op
-elision).
+The core, LSQ, atomic queue, hierarchy and crossbar each have exactly
+one implementation — batched windows, indexed queries, the zero-event
+L1-hit completion (armed only at zero L1 hit latency), the no-op fill
+elision and the per-bank delivery batches.  These tests hold the paths
+they select from their inputs to the digests in
+``tests/golden_digests.json`` (:mod:`tests.goldens` lists the points
+and the re-record command), so any moved event order, stat, timing,
+committed trace or observation fails loudly — including a bug that an
+A/B comparison of two legs sharing the buggy code would miss.  The ISA
+reference interpreter (``tests/properties/test_pipeline_vs_reference.py``)
+and the TSO checker remain the independent oracles.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from repro.common.config import CacheConfig, icelake_config
 from repro.consistency.litmus import LITMUS_TESTS
 from repro.core.policy import ALL_POLICIES, FREE_ATOMICS_FWD
-from repro.system.simulator import run_workload
-from repro.system.trace import operations_to_jsonable
-from repro.workloads.generator import WorkloadScale, generate_workload
-from tests.conftest import counter_workload, small_system_config
+from repro.system.simulator import System
+from tests import goldens
+from tests.conftest import counter_workload
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
-def zero_hit_config(num_cores: int):
-    """Small system whose L1D hits complete in zero cycles."""
-    config = small_system_config(num_cores)
-    memory = dataclasses.replace(
-        config.memory,
-        l1d=CacheConfig("L1D", 4 * 4 * 64, 4, 0, 0),
-    )
-    return config.replace(memory=memory)
+@pytest.mark.parametrize("bench", goldens.SWEEP_BENCHMARKS)
+@pytest.mark.parametrize("policy", goldens.POLICY_NAMES)
+def test_sweep_point_matches_golden(bench, policy):
+    """The default-preset points ``scripts/dump_summaries.py`` dumps."""
+    goldens.verify(f"sweep/{bench}/{policy}")
 
 
-def canonical(workload, policy, config, monkeypatch, fastpath: bool) -> str:
-    if fastpath:
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    result = run_workload(workload, policy=policy, config=config)
-    return result.summary().canonical_json()
-
-
-@pytest.mark.parametrize("seed", [1, 7, 99])
-@pytest.mark.parametrize("bench_name", ["AS", "canneal"])
-def test_randomized_workloads_identical_with_zero_latency_l1(
-    bench_name, seed, monkeypatch
-):
-    scale = WorkloadScale(num_threads=2, instructions_per_thread=300, seed=seed)
-    workload = generate_workload(bench_name, scale)
-    config = zero_hit_config(2)
-    with_fast = canonical(
-        workload, FREE_ATOMICS_FWD, config, monkeypatch, fastpath=True
-    )
-    without = canonical(
-        workload, FREE_ATOMICS_FWD, config, monkeypatch, fastpath=False
-    )
-    assert with_fast == without
+@pytest.mark.parametrize("bench_name,seed", goldens.ZERO_L1_POINTS)
+def test_randomized_workloads_identical_with_zero_latency_l1(bench_name, seed):
+    goldens.verify(f"zero-l1/{bench_name}-{seed}")
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
-def test_contended_counter_identical_across_policies(policy, monkeypatch):
-    config = zero_hit_config(3)
-    results = [
-        canonical(
-            counter_workload(3, 20), policy, config, monkeypatch, fastpath=fast
-        )
-        for fast in (True, False)
-    ]
-    assert results[0] == results[1]
+def test_contended_counter_identical_across_policies(policy):
+    goldens.verify(f"counter-3x20/{policy.name}")
 
 
-def test_default_preset_identical(monkeypatch):
-    """hit_latency=4 presets only elide no-op fills; still byte-identical."""
-    scale = WorkloadScale(num_threads=2, instructions_per_thread=300, seed=5)
-    workload = generate_workload("watersp", scale)
-    config = small_system_config(2)
-    with_fast = canonical(
-        workload, FREE_ATOMICS_FWD, config, monkeypatch, fastpath=True
-    )
-    without = canonical(
-        workload, FREE_ATOMICS_FWD, config, monkeypatch, fastpath=False
-    )
-    assert with_fast == without
+def test_default_preset_identical():
+    """hit_latency=4 presets only elide no-op fills."""
+    goldens.verify("default-preset/watersp-5")
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
-@pytest.mark.parametrize("seed", [3, 11])
-def test_randomized_workloads_identical_all_policies(policy, seed, monkeypatch):
-    """LSQ-index + quiescing fast paths, A/B across every atomic policy.
-
-    The older randomized test pinned free+fwd; the indexed-core fast
-    paths (per-line SQ/LQ maps, ordering watermarks, retry queues, the
-    drained System loop) take policy-dependent branches — fenced
-    atomics, speculative loads, atomic forwarding — so each policy gets
-    its own byte-identity check.
-    """
-    scale = WorkloadScale(num_threads=2, instructions_per_thread=250, seed=seed)
-    workload = generate_workload("AS", scale)
-    config = zero_hit_config(2)
-    with_fast = canonical(workload, policy, config, monkeypatch, fastpath=True)
-    without = canonical(workload, policy, config, monkeypatch, fastpath=False)
-    assert with_fast == without
-
-
-def _litmus_run(test, policy, pads, monkeypatch, fastpath: bool):
-    if fastpath:
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    config = icelake_config(num_cores=test.num_threads)
-    result = run_workload(
-        test.build(pads), policy=policy, config=config, trace=True
-    )
-    observations = {
-        label: result.read_word(addr)
-        for label, addr in test.observations.items()
-    }
-    return (
-        observations,
-        operations_to_jsonable(result.traces),
-        result.summary().canonical_json(),
-    )
+@pytest.mark.parametrize("seed", goldens.ALL_POLICY_SEEDS)
+def test_randomized_workloads_identical_all_policies(policy, seed):
+    """LSQ indexes, retry queues and quiescing take policy-dependent
+    branches (fenced atomics, speculative loads, atomic forwarding), so
+    each policy gets its own digest."""
+    goldens.verify(f"all-policies/AS-{seed}/{policy.name}")
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
 @pytest.mark.parametrize("name", sorted(LITMUS_TESTS))
-def test_litmus_suite_identical_traces(name, policy, monkeypatch):
-    """Full litmus suite both ways: identical committed traces.
-
-    Stronger than summary identity alone — the per-core committed
-    memory-operation traces pin the exact interleaving the consistency
-    checker sees, so a fast path that reordered commits while keeping
-    aggregate stats intact would still fail here.
-    """
-    test = LITMUS_TESTS[name]
-    pads = [0, 3] + [0] * max(0, test.num_threads - 2)
-    obs_fast, traces_fast, json_fast = _litmus_run(
-        test, policy, pads, monkeypatch, fastpath=True
-    )
-    obs_slow, traces_slow, json_slow = _litmus_run(
-        test, policy, pads, monkeypatch, fastpath=False
-    )
-    assert obs_fast == obs_slow
-    assert traces_fast == traces_slow
-    assert json_fast == json_slow
-    assert not test.forbidden(obs_fast)
+def test_litmus_suite_identical_traces(name, policy):
+    """Committed traces pin the exact interleaving the consistency
+    checker sees, so reordered commits fail here even when aggregate
+    stats survive."""
+    payload = goldens.verify(f"litmus/{name}/{policy.name}")
+    assert not LITMUS_TESTS[name].forbidden(json.loads(payload)["observations"])
 
 
-def _obs_run(workload, policy, config, monkeypatch, fastpath: bool):
-    """One observability-attached run: event stream + counts + summary."""
-    if fastpath:
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    from repro.obs.attach import Observability
-
-    obs = Observability()
-    result = run_workload(
-        workload, policy=policy, config=config, observability=obs
-    )
-    events = [
-        (e.cycle, e.cat, e.kind, e.src, e.seq, e.dur, e.info)
-        for e in obs.bus.ring
-    ]
-    return events, dict(obs.bus.counts), result.summary().canonical_json()
+@pytest.mark.parametrize("bench_name", goldens.OBS_BENCHMARKS)
+def test_obs_attached_event_streams_identical(bench_name):
+    """Observer-attached: every wrapped stage must see every invocation,
+    so the event stream, per-stream counts and summary (with
+    ``meta['health']``) are pinned byte for byte."""
+    payload = json.loads(goldens.verify(f"observed/{bench_name}-9"))
+    assert "health" in json.loads(payload["summary"])["meta"]
 
 
-@pytest.mark.parametrize("bench_name", ["AS", "watersp"])
-def test_obs_attached_event_streams_identical(bench_name, monkeypatch):
-    """Obs-attached A/B: the batched engine must fall back to (or alias-
-    refresh into) the hook paths so wrapped stages see every invocation —
-    the full structured event stream, the exact per-stream counts, and
-    the summary (including ``meta['health']``) must match byte for byte.
-    """
-    scale = WorkloadScale(num_threads=2, instructions_per_thread=300, seed=9)
-    workload = generate_workload(bench_name, scale)
-    config = zero_hit_config(2)
-    fast = _obs_run(workload, FREE_ATOMICS_FWD, config, monkeypatch, True)
-    slow = _obs_run(workload, FREE_ATOMICS_FWD, config, monkeypatch, False)
-    assert fast[0] == slow[0], "structured event streams diverge"
-    assert fast[1] == slow[1], "per-stream event counts diverge"
-    assert fast[2] == slow[2], "summaries (incl. health) diverge"
-    assert "health" in json.loads(fast[2])["meta"]
+@pytest.mark.parametrize("bench_name,seed", goldens.EIGHT_THREAD_POINTS)
+def test_randomized_8_thread_workloads_identical(bench_name, seed):
+    """8 threads reach cross-core interleavings (directory traffic, lock
+    convoys, idle-core quiescing) the 2-thread points cannot."""
+    goldens.verify(f"eight-thread/{bench_name}-{seed}")
 
 
-@pytest.mark.parametrize("bench_name,seed", [("AS", 13), ("watersp", 21)])
-def test_randomized_8_thread_workloads_identical(bench_name, seed, monkeypatch):
-    """A/B at 8 threads: more cores than any other equivalence point,
-    so cross-core interleavings (directory traffic, lock convoys, the
-    quiescing of idle cores) cover orderings the 2-thread points cannot
-    reach.
-    """
-    scale = WorkloadScale(num_threads=8, instructions_per_thread=200, seed=seed)
-    workload = generate_workload(bench_name, scale)
-    config = zero_hit_config(8)
-    with_fast = canonical(
-        workload, FREE_ATOMICS_FWD, config, monkeypatch, fastpath=True
-    )
-    without = canonical(
-        workload, FREE_ATOMICS_FWD, config, monkeypatch, fastpath=False
-    )
-    assert with_fast == without
-
-
-def test_sync_fastpath_actually_fires(monkeypatch):
-    """Guard against the fast path silently never arming (dead test risk)."""
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    from repro.system.simulator import System
-
+def test_sync_fastpath_actually_fires():
+    """Guard against the sync hit path silently never arming."""
     system = System(
-        counter_workload(2, 15), policy=FREE_ATOMICS_FWD, config=zero_hit_config(2)
+        counter_workload(2, 15),
+        policy=FREE_ATOMICS_FWD,
+        config=goldens.zero_hit_config(2),
     )
     assert all(core.hierarchy._fastpath for core in system.cores)
     system.run()
-    # Zero-latency hits must have completed synchronously at least once.
     assert system.stats.aggregate("l1_hits") > 0
+
+
+def test_digest_file_covers_exactly_the_point_list():
+    assert sorted(goldens.recorded()) == sorted(goldens.POINTS)
+
+
+def test_goldens_independent_of_hash_seed():
+    """Every digest reproduces in fresh interpreters under two fixed
+    string-hash seeds, so no digest can flake across hosts."""
+    script = (
+        "import sys, tests.goldens as g\n"
+        "bad = g.mismatches(); print(bad); sys.exit(bool(bad))"
+    )
+    path = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH")])
+    )
+    runs = {
+        seed: subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        for seed in ("0", "2654435761")
+    }
+    for seed, proc in runs.items():
+        output = proc.communicate(timeout=600)[0]
+        assert proc.returncode == 0, f"PYTHONHASHSEED={seed}: {output}"

@@ -4,10 +4,10 @@ Paper-scale runs (32 threads, barrier-heavy kernels) spend most of
 their simulated time in spin-wait loops; the fast-forward engine parks
 spinning cores and warps over the dead time.  These tests pin the
 contract that makes that legal: the observable result — the canonical
-``ResultSummary`` JSON — is byte-identical with the engine on, with
-only it off (``REPRO_NO_SPINFF=1``), and with every fast path off
-(``REPRO_NO_FASTPATH=1``), at the full 32-thread machine width, with
-observability attached and detached.
+``ResultSummary`` JSON — is byte-identical with the engine on and off
+(``REPRO_NO_SPINFF=1``), at the full 32-thread machine width, with
+observability attached and detached; the 32-thread canneal point is
+also pinned to its absolute golden digest (:mod:`tests.goldens`).
 
 The ``fastforward`` diagnostics (parks / spin_cycles_skipped /
 time_warp_jumps) are deliberately *outside* the summary: they describe
@@ -24,22 +24,17 @@ from repro.common.config import icelake_config
 from repro.core.policy import FREE_ATOMICS_FWD
 from repro.system.simulator import run_workload
 from repro.workloads.generator import WorkloadScale, generate_workload
-
-PAPER_WIDTH = 32
-
-#: env knob per leg: all fast paths on / only spinff off / everything off.
-LEGS = {
-    "fast": (),
-    "nospinff": ("REPRO_NO_SPINFF",),
-    "nofastpath": ("REPRO_NO_FASTPATH",),
-}
+from tests import goldens
+from tests.goldens import PAPER_WIDTH, PAPER_WIDTH_INSTRS, paper_width_workload
 
 
 def _run(workload, config, monkeypatch, leg: str, observability=None):
-    for var in ("REPRO_NO_FASTPATH", "REPRO_NO_SPINFF"):
-        monkeypatch.delenv(var, raising=False)
-    for var in LEGS[leg]:
-        monkeypatch.setenv(var, "1")
+    """Run free+fwd with spin fast-forward on (``fast``) or off
+    (``nospinff``, the reference)."""
+    if leg == "nospinff":
+        monkeypatch.setenv("REPRO_NO_SPINFF", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_SPINFF", raising=False)
     return run_workload(
         workload,
         policy=FREE_ATOMICS_FWD,
@@ -48,30 +43,27 @@ def _run(workload, config, monkeypatch, leg: str, observability=None):
     )
 
 
-def paper_width_workload(bench_name: str, instructions: int, seed: int = 0):
-    scale = WorkloadScale(
-        num_threads=PAPER_WIDTH,
-        instructions_per_thread=instructions,
-        seed=seed,
-    )
-    return generate_workload(bench_name, scale)
-
-
-def test_paper_width_canneal_identical_across_legs(monkeypatch):
-    """32-thread canneal: summary byte-identity across all three legs,
-    with the fast leg proven to actually park (non-zero diagnostics)."""
-    workload = paper_width_workload("canneal", 150)
+@pytest.fixture(scope="module")
+def canneal_32():
+    """The 32-thread canneal golden point: workload, config, parking run."""
+    workload = paper_width_workload("canneal", PAPER_WIDTH_INSTRS)
     config = icelake_config(num_cores=PAPER_WIDTH)
-    fast = _run(workload, config, monkeypatch, "fast")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return workload, config, _run(workload, config, monkeypatch, "fast")
+
+
+def test_paper_width_canneal_identical_across_legs(canneal_32, monkeypatch):
+    """32-thread canneal: the parking run matches the golden digest and
+    the no-spinff reference byte for byte, and is proven to actually
+    park (non-zero diagnostics)."""
+    workload, config, fast = canneal_32
     assert fast.fastforward["parks"] > 0, "fast leg never parked: dead test"
     assert fast.fastforward["spin_cycles_skipped"] > 0
+    fast_json = fast.summary().canonical_json()
+    goldens.verify("paper-width/canneal", fast_json)
     nospinff = _run(workload, config, monkeypatch, "nospinff")
     assert nospinff.fastforward["parks"] == 0
-    reference = _run(workload, config, monkeypatch, "nofastpath")
-    assert reference.fastforward["parks"] == 0
-    fast_json = fast.summary().canonical_json()
     assert fast_json == nospinff.summary().canonical_json()
-    assert fast_json == reference.summary().canonical_json()
 
 
 @pytest.mark.parametrize("bench_name", ["AS", "watersp"])
@@ -79,9 +71,9 @@ def test_barrier_kernels_identical(bench_name, monkeypatch):
     """The barrier-period kernels — the workloads whose spin time made
     the paper scale intractable before the engine.  16 threads, not 32:
     the reference leg's spin time grows roughly quadratically with
-    thread count (~100 host-seconds per kernel at 32), and the 32-wide
-    legs are already covered by the canneal tests above; 16 threads
-    still parks these kernels dozens of times per run."""
+    thread count, and the 32-wide legs are already covered by the
+    canneal tests above; 16 threads still parks these kernels dozens of
+    times per run."""
     workload = generate_workload(
         bench_name,
         WorkloadScale(num_threads=16, instructions_per_thread=50, seed=0),
@@ -89,7 +81,8 @@ def test_barrier_kernels_identical(bench_name, monkeypatch):
     config = icelake_config(num_cores=16)
     fast = _run(workload, config, monkeypatch, "fast")
     assert fast.fastforward["parks"] > 0
-    reference = _run(workload, config, monkeypatch, "nofastpath")
+    reference = _run(workload, config, monkeypatch, "nospinff")
+    assert reference.fastforward["parks"] == 0
     assert (
         fast.summary().canonical_json()
         == reference.summary().canonical_json()
@@ -109,7 +102,7 @@ def test_paper_width_obs_attached_identical(monkeypatch):
     workload = paper_width_workload("canneal", 100)
     config = icelake_config(num_cores=PAPER_WIDTH)
     streams = {}
-    for leg in ("fast", "nofastpath"):
+    for leg in ("fast", "nospinff"):
         obs = Observability()
         result = _run(workload, config, monkeypatch, leg, observability=obs)
         streams[leg] = (
@@ -120,17 +113,14 @@ def test_paper_width_obs_attached_identical(monkeypatch):
             dict(obs.bus.counts),
             result.summary().canonical_json(),
         )
-    fast, reference = streams["fast"], streams["nofastpath"]
+    fast, reference = streams["fast"], streams["nospinff"]
     assert fast[0] == reference[0], "structured event streams diverge"
     assert fast[1] == reference[1], "per-stream event counts diverge"
     assert fast[2] == reference[2], "summaries diverge"
 
 
-def test_time_warp_fires_at_paper_width(monkeypatch):
+def test_time_warp_fires_at_paper_width(canneal_32):
     """The global time-warp must engage once spinning cores park —
     otherwise parked cores still cost one empty-bucket scan per cycle
     and the paper-scale speedup quietly evaporates."""
-    workload = paper_width_workload("canneal", 150)
-    config = icelake_config(num_cores=PAPER_WIDTH)
-    fast = _run(workload, config, monkeypatch, "fast")
-    assert fast.fastforward["time_warp_jumps"] > 0
+    assert canneal_32[2].fastforward["time_warp_jumps"] > 0
